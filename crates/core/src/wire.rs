@@ -236,11 +236,35 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), table-driven.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 ///
-/// Computed in software so the integrity layer has no dependencies; the
-/// table is built at compile time.
+/// Computed in software so the integrity layer has no dependencies. On
+/// x86-64 CPUs with `pclmulqdq` and `sse4.1`, inputs of at least 128
+/// bytes are folded 64 bytes per step with carry-less multiplication
+/// (Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction"); shorter inputs, the sub-16-byte tail and other CPUs use
+/// a byte-at-a-time table built at compile time. Both paths compute the
+/// same checksum.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CLMUL_MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::update` only needs the `pclmulqdq` and `sse4.1`
+        // target features, both detected on this CPU just above.
+        return !unsafe { clmul::update(!0, data) };
+    }
+    !crc32_table(!0, data)
+}
+
+/// Shortest input [`crc32`] hands to the carry-less-multiply kernel (the
+/// cut crc32fast uses). The kernel needs one 64-byte block to start, and
+/// control frames and small eager frames stay on the table loop.
+const CLMUL_MIN_LEN: usize = 128;
+
+/// Byte-at-a-time CRC-32 update of the raw (non-inverted) register.
+fn crc32_table(mut crc: u32, data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;
@@ -260,11 +284,99 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
         table
     };
-    let mut crc = !0u32;
     for &b in data {
         crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// Carry-less-multiply folding for the bit-reflected IEEE polynomial.
+///
+/// Each fold multiplies the two 64-bit halves of a 128-bit accumulator by
+/// `x^(d+32) mod P` and `x^(d-32) mod P` and adds the block `d` bits
+/// further on, which moves the remainder forward without changing it
+/// modulo `P`. Four accumulators fold with `d = 512` (k1, k2); they then
+/// merge and absorb single blocks with `d = 128` (k3, k4); 128 bits reduce
+/// to 64 (k4, k5 = `x^64 mod P`) and a Barrett step (`P`, `mu = x^64 / P`)
+/// yields the 32-bit register. Every constant is bit-reflected and shifted
+/// left by one, as the reflected CRC requires.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Advances the raw CRC register `crc` over `data`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (quads, singles) = blocks.as_chunks::<4>();
+        let Some((first, quads)) = quads.split_first() else {
+            return super::crc32_table(crc, data);
+        };
+
+        let mut acc = [
+            load(&first[0]),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            for (a, block) in acc.iter_mut().zip(quad) {
+                *a = fold(*a, load(block), k1k2);
+            }
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(acc[0], acc[1], k3k4);
+        x = fold(x, acc[2], k3k4);
+        x = fold(x, acc[3], k3k4);
+        for block in singles {
+            x = fold(x, load(block), k3k4);
+        }
+
+        // 128 -> 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+
+        // Barrett reduction, 64 -> 32 bits (bit-reflected variant).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+
+        super::crc32_table(crc, tail)
+    }
+
+    /// `next ^ acc.lo * keys.lo ^ acc.hi * keys.hi` (carry-less).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and `_mm_loadu_si128` has
+        // no alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
 }
 
 /// A decoded frame header plus its (still encoded) packet payload.
@@ -387,7 +499,9 @@ pub fn decode_packet(mut packet: Bytes) -> Result<Vec<Entry>, WireError> {
     if count == 0 {
         return Err(WireError::Malformed("empty container"));
     }
-    let mut entries = Vec::with_capacity(count);
+    // `count` comes off the wire: never reserve more entries than the
+    // remaining bytes could hold.
+    let mut entries = Vec::with_capacity(count.min(packet.remaining() / ENTRY_HEADER));
     for _ in 0..count {
         entries.push(Entry::decode_from(&mut packet)?);
     }
@@ -539,6 +653,50 @@ mod tests {
         );
     }
 
+    /// Bit-at-a-time CRC-32/IEEE straight from the polynomial: the
+    /// reference both the table loop and the folding kernel must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB88320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic non-repeating test bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_agrees_with_bitwise_reference() {
+        let buf = noise(16 * 1024 + 27 + 16);
+        let lengths = (0..=600).chain([4096, 16 * 1024, 16 * 1024 + 27]);
+        for len in lengths {
+            for offset in [0, 1, 3, 7, 13] {
+                let data = &buf[offset..offset + len];
+                let want = crc32_bitwise(data);
+                assert_eq!(crc32(data), want, "len {len} offset {offset}");
+                assert_eq!(!crc32_table(!0, data), want, "table, len {len}");
+            }
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
         let packet = encode_packet(&[Entry::Eager {
@@ -617,6 +775,27 @@ mod tests {
         }]);
         let framed = encode_frame(5, 2, FRAME_RELIABLE, 0x5EED, &packet);
         for i in 0..framed.len() {
+            let mut bad = BytesMut::from(&framed[..]);
+            bad[i] ^= 0xFF;
+            let err = decode_frame(bad.freeze()).expect_err("flip must be caught");
+            assert!(
+                matches!(err, WireError::BadChecksum { .. }),
+                "flip at {i} gave {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_frame_flips_are_caught() {
+        let packet = encode_packet(&[Entry::Data {
+            tag: 1,
+            seq: 0,
+            offset: 0,
+            data: Bytes::from(noise(16 * 1024)),
+        }]);
+        let framed = encode_frame(5, 2, FRAME_RELIABLE, 0x5EED, &packet);
+        let last = framed.len() - 1;
+        for i in (0..framed.len()).step_by(16).chain([last]) {
             let mut bad = BytesMut::from(&framed[..]);
             bad[i] ^= 0xFF;
             let err = decode_frame(bad.freeze()).expect_err("flip must be caught");
