@@ -8,9 +8,12 @@
 //! * [`Bytes`] — cheaply clonable, sliceable immutable buffer (shared
 //!   storage + range). [`freeze`] and `From<Vec<u8>>` are O(1), as
 //!   upstream: a buffer over 1 KiB keeps its vector (`Arc<Vec<u8>>`), and
-//!   a shorter one is copied once into an `Arc<[u8]>`,
+//!   a shorter one is copied once into an `Arc<[u8]>`; [`from_owner`]
+//!   wraps any owned byte container, without a copy, and drops it once
+//!   after the last view,
 //! * [`BytesMut`] — growable write buffer that [`freeze`]s into [`Bytes`],
-//! * [`Buf`] / [`BufMut`] — big-endian cursor read/write traits.
+//! * [`Buf`] / [`BufMut`] — big-endian cursor read/write traits (`BufMut`
+//!   also on `Vec<u8>`, as upstream).
 //!
 //! Semantics (big-endian integer encoding, `split_to`, `slice`) match the
 //! real crate so the wire format stays compatible if the real dependency is
@@ -18,6 +21,7 @@
 //!
 //! [`bytes`]: https://docs.rs/bytes
 //! [`freeze`]: BytesMut::freeze
+//! [`from_owner`]: Bytes::from_owner
 
 #![warn(missing_docs)]
 
@@ -49,6 +53,8 @@ enum Storage {
     Inline(Arc<[u8]>),
     /// The original vector, moved in without a copy.
     Vec(Arc<Vec<u8>>),
+    /// A caller's container, dropped once after the last view.
+    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
 }
 
 impl Storage {
@@ -56,6 +62,7 @@ impl Storage {
         match self {
             Storage::Inline(b) => b,
             Storage::Vec(v) => v,
+            Storage::Owner(o) => (**o).as_ref(),
         }
     }
 }
@@ -75,6 +82,24 @@ impl Bytes {
     /// Copies `data` into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from_vec(data.to_vec())
+    }
+
+    /// Wraps `owner` without copying its bytes. Views and clones share
+    /// it, and it is dropped exactly once, when the last of them is.
+    ///
+    /// Upstream (bytes ≥ 1.9) asks only for `Send`; this shim keeps the
+    /// owner behind an `Arc`, so it must be `Sync` as well. `as_ref` must
+    /// return the same bytes every time it is called.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Bytes {
+            data: Storage::Owner(Arc::new(owner)),
+            start: 0,
+            end,
+        }
     }
 
     fn from_vec(v: Vec<u8>) -> Self {
@@ -389,6 +414,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, s: &[u8]) {
+        self.extend_from_slice(s);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +475,52 @@ mod tests {
         assert_eq!(head.as_ptr(), addr);
         assert_eq!(rest.as_ptr(), frozen[6..].as_ptr());
         assert_eq!(frozen.slice(2..5).as_ptr(), frozen[2..].as_ptr());
+    }
+
+    /// Counts its drops; its bytes live at a fixed address.
+    struct Owner {
+        bytes: Vec<u8>,
+        drops: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl AsRef<[u8]> for Owner {
+        fn as_ref(&self) -> &[u8] {
+            &self.bytes
+        }
+    }
+
+    impl Drop for Owner {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn from_owner_shares_without_copy_and_drops_once() {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let bytes: Vec<u8> = (0..=255).collect();
+        let addr = bytes.as_ptr();
+        let b = Bytes::from_owner(Owner {
+            bytes,
+            drops: Arc::clone(&drops),
+        });
+        assert_eq!(b.len(), 256);
+        assert_eq!(b.as_ptr(), addr, "from_owner must not copy");
+
+        let mut rest = b.slice(16..);
+        let head = rest.split_to(4);
+        let copy = b.clone();
+        assert_eq!(&head[..], &[16, 17, 18, 19]);
+        assert_eq!(head.as_ptr(), addr.wrapping_add(16));
+        assert_eq!(rest.as_ptr(), addr.wrapping_add(20));
+        drop(b);
+        drop(copy);
+        drop(head);
+        assert_eq!(drops.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert_eq!(rest[0], 20, "the last view still reads the owner");
+        let moved = std::thread::spawn(move || rest.len()).join().unwrap();
+        assert_eq!(moved, 236);
+        assert_eq!(drops.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

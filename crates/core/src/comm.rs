@@ -27,7 +27,7 @@
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use nm_progress::{now_ns, OffloadMode, Offloader, PollOutcome, PollSource, TimerWheel};
 use nm_sync::WaitStrategy;
@@ -36,15 +36,16 @@ use crate::completion::Completion;
 use crate::config::CoreConfig;
 use crate::error::CommError;
 use crate::gate::{
-    Gate, GateId, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RdvSendDone, TagPattern,
-    UnackedFrame, UnexpectedMsg, XferItem,
+    ChunkMark, Gate, GateId, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RdvSendDone,
+    TagPattern, UnackedFrame, UnexpectedMsg, XferItem,
 };
 use crate::locking::{LockPolicy, SectionKind};
+use crate::recycle;
 use crate::request::{Request, RequestKind};
 use crate::stats::CoreStats;
 use crate::strategy::{SendItem, SendItemKind, Strategy};
 use crate::wire::{
-    decode_frame, decode_packet, encode_frame, encode_packet, Entry, Frame, WireError,
+    decode_frame, decode_packet, encode_frame, encode_packet, Entry, Frame, OutPacket, WireError,
     ENTRY_HEADER, FRAME_ACK_ONLY, FRAME_HEADER, FRAME_RELIABLE, FRAME_SPAN_BYTES, PACKET_HEADER,
 };
 
@@ -368,7 +369,7 @@ impl CommCore {
                             seq: rts.seq,
                             total: rts.total,
                             received: 0,
-                            buf: BytesMut::zeroed(rts.total as usize),
+                            buf: recycle::REASSEMBLY.zeroed(rts.total as usize),
                             req: req.clone(),
                             chunks: std::collections::BTreeMap::new(),
                         });
@@ -1009,16 +1010,25 @@ impl CommCore {
                             return;
                         }
                         let (start, end) = (offset as usize, offset as usize + data.len());
-                        if end > r.buf.len() {
+                        if data.is_empty() || end > r.buf.len() {
                             self.stats.wire_errors.incr();
                             return;
                         }
-                        if !r.mark_chunk(offset, data.len() as u32) {
+                        match r.mark_chunk(offset, data.len() as u32) {
+                            ChunkMark::New => {}
                             // Redelivered chunk: the bytes are already in
                             // place; counting it again would complete a
                             // short reassembly.
-                            self.stats.dup_dropped.incr();
-                            return;
+                            ChunkMark::Duplicate => {
+                                self.stats.dup_dropped.incr();
+                                return;
+                            }
+                            // No sender cuts a message into overlapping
+                            // chunks: hostile or corrupt input.
+                            ChunkMark::Overlap => {
+                                self.stats.wire_errors.incr();
+                                return;
+                            }
                         }
                         r.buf[start..end].copy_from_slice(&data);
                         r.received += data.len() as u32;
@@ -1096,13 +1106,8 @@ impl CommCore {
         for i in 0..num_chunks {
             let offset = i * chunk;
             let end = (offset + chunk).min(total);
-            let entry = Entry::Data {
-                tag: rdv.tag,
-                seq: rdv.seq,
-                offset: offset as u32,
-                data: rdv.data.slice(offset..end),
-            };
-            let packet = encode_packet(&[entry]);
+            let packet =
+                OutPacket::chunk(rdv.tag, rdv.seq, offset as u32, rdv.data.slice(offset..end));
             let lane = lanes[(start_lane + i) % lanes.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
             g.xfer[lane].with(&s, |q| {
@@ -1130,13 +1135,13 @@ impl CommCore {
         &self,
         g: &Gate,
         lane: usize,
-        packet: &Bytes,
+        packet: &OutPacket,
         span: u64,
     ) -> Result<(), nm_fabric::PostError> {
         let r = &self.config.reliability;
         let (rail, vci) = g.lane_rail_vci(lane);
         if !r.enabled {
-            let frame = encode_frame(0, 0, 0, span, packet);
+            let frame = packet.frame(0, 0, 0, span);
             let s = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
             let posted = g.drivers[rail].post_vci(vci, frame);
             drop(s);
@@ -1153,7 +1158,7 @@ impl CommCore {
                 return Err(nm_fabric::PostError::WouldBlock);
             }
             let wseq = rel.next_tx_wseq;
-            let frame = encode_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, packet);
+            let frame = packet.frame(wseq, rel.rx_expected, FRAME_RELIABLE, span);
             let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
             let posted = g.drivers[rail].post_vci(vci, frame);
             drop(d);
@@ -1216,7 +1221,7 @@ impl CommCore {
                 self.stats.aggregated_packets.incr();
             }
             let entries: Vec<Entry> = items.iter().map(SendItem::to_entry).collect();
-            let packet = encode_packet(&entries);
+            let packet = OutPacket::Encoded(encode_packet(&entries));
             // The frame header carries one span: the first spanned item
             // aboard. Aggregated passengers keep their submit/collect/
             // complete events but ride the carrier's wire attribution.
@@ -1388,13 +1393,9 @@ impl CommCore {
                 if head.span != 0 {
                     nm_trace::trace_event!(SpanRetx, head.span, head.wseq);
                 }
-                let frame = encode_frame(
-                    head.wseq,
-                    rel.rx_expected,
-                    FRAME_RELIABLE,
-                    head.span,
-                    &head.packet,
-                );
+                let frame =
+                    head.packet
+                        .frame(head.wseq, rel.rx_expected, FRAME_RELIABLE, head.span);
                 rel.ack_pending = false;
                 let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
                 // WouldBlock: the rearmed timer simply tries again.
@@ -1425,7 +1426,7 @@ impl CommCore {
         // Unacknowledged frames go back to packet form: a surviving lane
         // re-frames them under its own sequence space. Spans ride along
         // so the restriped retry tail stays attributable.
-        let packets: Vec<(Bytes, u64)> = {
+        let packets: Vec<(OutPacket, u64)> = {
             let s = self
                 .policy
                 .enter(SectionKind::Retrans(g.driver_base + lane));
@@ -1593,7 +1594,7 @@ impl CommCore {
                 seq,
                 total,
                 received: 0,
-                buf: BytesMut::zeroed(total as usize),
+                buf: recycle::REASSEMBLY.zeroed(total as usize),
                 req: p.req,
                 chunks: std::collections::BTreeMap::new(),
             });

@@ -102,12 +102,12 @@ impl CompletionEvent {
     }
 }
 
-/// A fire-and-forget completion callback. See the
-/// [module docs](self#handler-reentrancy-rules) for what a handler may do.
+/// A fire-and-forget completion callback. See "Handlers and reentrancy"
+/// in `docs/COMPLETION.md` for what a handler may do.
 pub type CompletionHandler = Arc<dyn Fn(&CompletionEvent) + Send + Sync>;
 
 /// How a request's completion is delivered, chosen per operation at
-/// `isend_with`/`irecv_with` time. See the [module docs](self).
+/// `isend_with`/`irecv_with` time. See `docs/COMPLETION.md`.
 #[derive(Clone, Default)]
 pub enum Completion {
     /// Signal the request's `CompletionFlag` only (the classic API).
@@ -157,7 +157,8 @@ impl fmt::Debug for Completion {
 /// carry every outstanding operation of a server — completion stops
 /// costing one blocked thread per request.
 ///
-/// See the [module docs](self#queue-locking) for the locking rationale.
+/// See "Completion queues" in `docs/COMPLETION.md` for the locking
+/// rationale.
 pub struct CompletionQueue {
     /// FIFO of delivered events, spinlock-classed `core.cq`.
     cq_items: SpinLock<VecDeque<CompletionEvent>>,

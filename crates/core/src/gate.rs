@@ -4,13 +4,15 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use nm_fabric::Driver;
 
 use crate::locking::{Protected, SectionKind};
+use crate::recycle::Pooled;
 use crate::request::Request;
 use crate::strategy::SendItem;
+use crate::wire::OutPacket;
 
 /// Identifies a peer connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,24 +84,43 @@ pub(crate) struct RdvRecv {
     pub seq: u32,
     pub total: u32,
     pub received: u32,
-    pub buf: BytesMut,
+    /// `total` bytes, zeroed, from the reassembly cache.
+    pub buf: Pooled,
     pub req: Request,
     /// Offsets (→ lengths) already written, so a redelivered DATA chunk
     /// cannot double-count `received` and complete with torn data.
     pub chunks: BTreeMap<u32, u32>,
 }
 
+/// What [`RdvRecv::mark_chunk`] made of an arriving chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkMark {
+    /// New bytes: write them and count them.
+    New,
+    /// Exactly a chunk already received: a redelivery.
+    Duplicate,
+    /// Covers part of a chunk already received. No sender cuts a message
+    /// that way; counting it would complete the receive with a hole.
+    Overlap,
+}
+
 impl RdvRecv {
-    /// Records the chunk at `offset`; `false` if it was already received
-    /// (a duplicate the caller must drop).
-    pub fn mark_chunk(&mut self, offset: u32, len: u32) -> bool {
-        match self.chunks.entry(offset) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(len);
-                true
+    /// Records the non-empty chunk `offset..offset + len`, which lies
+    /// within `total`, unless it repeats or overlaps one already received.
+    pub fn mark_chunk(&mut self, offset: u32, len: u32) -> ChunkMark {
+        if let Some((&o, &l)) = self.chunks.range(..=offset).next_back() {
+            if (o, l) == (offset, len) {
+                return ChunkMark::Duplicate;
+            }
+            if o + l > offset {
+                return ChunkMark::Overlap;
             }
         }
+        if self.chunks.range(offset + 1..offset + len).next().is_some() {
+            return ChunkMark::Overlap;
+        }
+        self.chunks.insert(offset, len);
+        ChunkMark::New
     }
 }
 
@@ -127,9 +148,9 @@ impl RdvSendDone {
     }
 }
 
-/// A pre-encoded packet queued in a transfer-layer list.
+/// A packet queued in a transfer-layer list.
 pub(crate) struct XferItem {
-    pub packet: Bytes,
+    pub packet: OutPacket,
     /// Eager requests completed when this packet is injected.
     pub complete_on_post: Vec<Request>,
     /// Rendezvous chunk bookkeeping.
@@ -145,7 +166,7 @@ pub(crate) struct XferItem {
 /// re-sequence it on a surviving lane.
 pub(crate) struct UnackedFrame {
     pub wseq: u32,
-    pub packet: Bytes,
+    pub packet: OutPacket,
     /// Observability span of the frame (0 = none); retransmits and
     /// failover re-stripes re-attach it so the retry tail of a message
     /// stays attributable.
@@ -794,7 +815,7 @@ mod tests {
                 seq,
                 total: 2,
                 received: 0,
-                buf: BytesMut::new(),
+                buf: crate::recycle::REASSEMBLY.zeroed(2),
                 req: Request::new(RequestKind::Recv),
                 chunks: BTreeMap::new(),
             });
@@ -805,6 +826,31 @@ mod tests {
         let done = rx.rdv_in_remove(8).unwrap();
         assert_eq!(done.received, 1);
         assert_eq!(rx.rdv_in_len(), 1);
+    }
+
+    #[test]
+    fn overlapping_chunks_are_refused() {
+        let mut r = RdvRecv {
+            tag: 1,
+            seq: 0,
+            total: 64,
+            received: 0,
+            buf: crate::recycle::REASSEMBLY.zeroed(64),
+            req: Request::new(RequestKind::Recv),
+            chunks: BTreeMap::new(),
+        };
+        assert_eq!(r.mark_chunk(16, 16), ChunkMark::New);
+        assert_eq!(r.mark_chunk(16, 16), ChunkMark::Duplicate);
+        for (offset, len) in [(16, 8), (8, 16), (24, 16), (0, 64), (31, 1), (20, 4)] {
+            assert_eq!(
+                r.mark_chunk(offset, len),
+                ChunkMark::Overlap,
+                "{offset}+{len}"
+            );
+        }
+        assert_eq!(r.mark_chunk(0, 16), ChunkMark::New);
+        assert_eq!(r.mark_chunk(32, 32), ChunkMark::New);
+        assert_eq!(r.chunks.len(), 3);
     }
 
     #[test]

@@ -60,6 +60,7 @@ mod locking;
 #[cfg(test)]
 mod matching_proptest;
 pub mod metrics;
+mod recycle;
 mod request;
 mod stats;
 mod strategy;

@@ -29,8 +29,16 @@
 //! * `RTS`   — rendezvous request-to-send; `aux` = total message length.
 //! * `CTS`   — clear-to-send, echoing the RTS `tag`/`seq`.
 //! * `DATA`  — one rendezvous chunk; `aux` = offset into the message.
+//!
+//! [`encode_frame_parts`] frames a packet given as consecutive slices.
+//! That is how a rendezvous chunk is framed: straight from the sender's
+//! payload behind a 23-byte packet-and-entry header, with no packet
+//! encoded in between, and into a buffer recycled through a process-wide
+//! cache. The bytes on the wire are the same as for an encoded packet.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+use crate::recycle;
 
 /// Per-entry header size in bytes.
 pub const ENTRY_HEADER: usize = 1 + 8 + 4 + 4 + 4;
@@ -114,43 +122,19 @@ impl Entry {
     }
 
     fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            Entry::Eager { tag, seq, data } => {
-                buf.put_u8(KIND_EAGER);
-                buf.put_u64(*tag);
-                buf.put_u32(*seq);
-                buf.put_u32(0);
-                buf.put_u32(data.len() as u32);
-                buf.put_slice(data);
-            }
-            Entry::Rts { tag, seq, total } => {
-                buf.put_u8(KIND_RTS);
-                buf.put_u64(*tag);
-                buf.put_u32(*seq);
-                buf.put_u32(*total);
-                buf.put_u32(0);
-            }
-            Entry::Cts { tag, seq } => {
-                buf.put_u8(KIND_CTS);
-                buf.put_u64(*tag);
-                buf.put_u32(*seq);
-                buf.put_u32(0);
-                buf.put_u32(0);
-            }
+        let (kind, tag, seq, aux, data) = match self {
+            Entry::Eager { tag, seq, data } => (KIND_EAGER, tag, seq, 0, &data[..]),
+            Entry::Rts { tag, seq, total } => (KIND_RTS, tag, seq, *total, &[][..]),
+            Entry::Cts { tag, seq } => (KIND_CTS, tag, seq, 0, &[][..]),
             Entry::Data {
                 tag,
                 seq,
                 offset,
                 data,
-            } => {
-                buf.put_u8(KIND_DATA);
-                buf.put_u64(*tag);
-                buf.put_u32(*seq);
-                buf.put_u32(*offset);
-                buf.put_u32(data.len() as u32);
-                buf.put_slice(data);
-            }
-        }
+            } => (KIND_DATA, tag, seq, *offset, &data[..]),
+        };
+        buf.put_slice(&entry_header(kind, *tag, *seq, aux, data.len() as u32));
+        buf.put_slice(data);
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Entry, WireError> {
@@ -196,6 +180,63 @@ impl Entry {
                 Ok(Entry::Cts { tag, seq })
             }
             k => Err(WireError::UnknownKind(k)),
+        }
+    }
+}
+
+/// The encoded header of one entry; `len` bytes of payload follow it.
+fn entry_header(kind: u8, tag: u64, seq: u32, aux: u32, len: u32) -> [u8; ENTRY_HEADER] {
+    let mut h = [0; ENTRY_HEADER];
+    h[0] = kind;
+    h[1..9].copy_from_slice(&tag.to_be_bytes());
+    h[9..13].copy_from_slice(&seq.to_be_bytes());
+    h[13..17].copy_from_slice(&aux.to_be_bytes());
+    h[17..21].copy_from_slice(&len.to_be_bytes());
+    h
+}
+
+/// A packet waiting to be framed on some lane.
+#[derive(Clone)]
+pub(crate) enum OutPacket {
+    /// An encoded container (eager, control or aggregated entries).
+    Encoded(Bytes),
+    /// One rendezvous `DATA` chunk: the container and entry header, then
+    /// a view of the sender's payload, framed without an encoded packet.
+    Chunk {
+        /// `count = 1` and the entry header.
+        head: [u8; PACKET_HEADER + ENTRY_HEADER],
+        /// The chunk's bytes.
+        data: Bytes,
+    },
+}
+
+impl OutPacket {
+    /// The `DATA` chunk of rendezvous `seq` at `offset`.
+    pub(crate) fn chunk(tag: u64, seq: u32, offset: u32, data: Bytes) -> OutPacket {
+        let mut head = [0; PACKET_HEADER + ENTRY_HEADER];
+        head[..PACKET_HEADER].copy_from_slice(&1u16.to_be_bytes());
+        head[PACKET_HEADER..].copy_from_slice(&entry_header(
+            KIND_DATA,
+            tag,
+            seq,
+            offset,
+            data.len() as u32,
+        ));
+        OutPacket::Chunk { head, data }
+    }
+
+    /// Wraps the packet in a frame (see [`encode_frame`]). A chunk's
+    /// frame is built in a recycled buffer, which returns to the frame
+    /// cache when the last view of the frame drops.
+    pub(crate) fn frame(&self, wseq: u32, ack: u32, flags: u8, span: u64) -> Bytes {
+        match self {
+            OutPacket::Encoded(packet) => encode_frame(wseq, ack, flags, span, packet),
+            OutPacket::Chunk { head, data } => {
+                let parts: [&[u8]; 2] = [head, data];
+                let mut buf = recycle::FRAMES.empty(frame_len(span, &parts));
+                write_frame(&mut buf, wseq, ack, flags, span, &parts);
+                buf.freeze()
+            }
         }
     }
 }
@@ -413,13 +454,30 @@ impl Frame {
 /// `0` ("no span", the value in every trace-off build) clears
 /// [`FRAME_SPAN`] and the frame carries no span bytes at all.
 pub fn encode_frame(wseq: u32, ack: u32, flags: u8, span: u64, payload: &[u8]) -> Bytes {
+    encode_frame_parts(wseq, ack, flags, span, &[payload])
+}
+
+/// [`encode_frame`] of the packet that is `parts` laid end to end, so a
+/// packet need not be contiguous in memory before it is framed.
+pub fn encode_frame_parts(wseq: u32, ack: u32, flags: u8, span: u64, parts: &[&[u8]]) -> Bytes {
+    let mut buf = Vec::with_capacity(frame_len(span, parts));
+    write_frame(&mut buf, wseq, ack, flags, span, parts);
+    Bytes::from(buf)
+}
+
+/// Length of the frame of `parts`.
+fn frame_len(span: u64, parts: &[&[u8]]) -> usize {
     let span_bytes = if span != 0 { FRAME_SPAN_BYTES } else { 0 };
+    FRAME_HEADER + span_bytes + parts.iter().map(|p| p.len()).sum::<usize>()
+}
+
+/// Appends the frame of `parts` to the empty `buf`.
+fn write_frame(buf: &mut Vec<u8>, wseq: u32, ack: u32, flags: u8, span: u64, parts: &[&[u8]]) {
     let flags = if span != 0 {
         flags | FRAME_SPAN
     } else {
         flags & !FRAME_SPAN
     };
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER + span_bytes + payload.len());
     buf.put_u32(0); // crc placeholder
     buf.put_u32(wseq);
     buf.put_u32(ack);
@@ -427,10 +485,11 @@ pub fn encode_frame(wseq: u32, ack: u32, flags: u8, span: u64, payload: &[u8]) -
     if span != 0 {
         buf.put_u64(span);
     }
-    buf.put_slice(payload);
+    for part in parts {
+        buf.put_slice(part);
+    }
     let crc = crc32(&buf[4..]);
     buf[0..4].copy_from_slice(&crc.to_be_bytes());
-    buf.freeze()
 }
 
 /// Verifies and strips a frame header.
@@ -803,6 +862,34 @@ mod tests {
                 matches!(err, WireError::BadChecksum { .. }),
                 "flip at {i} gave {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn chunk_frames_match_encoded_packets() {
+        let payload = Bytes::from(noise(20 * 1024));
+        for len in [1, 1025, 16 * 1024] {
+            for (offset, span) in [(0, 0), (9, 0xFEED), (4096, 0)] {
+                for flags in [0, FRAME_RELIABLE] {
+                    let data = payload.slice(offset..offset + len);
+                    let packet = encode_packet(&[Entry::Data {
+                        tag: 0xA1B2_C3D4_E5F6,
+                        seq: 77,
+                        offset: offset as u32,
+                        data: data.clone(),
+                    }]);
+                    let want = encode_frame(3, 2, flags, span, &packet);
+                    let (head, tail) = packet.split_at(PACKET_HEADER + ENTRY_HEADER);
+                    let chunk = OutPacket::chunk(0xA1B2_C3D4_E5F6, 77, offset as u32, data);
+                    let what = format!("len {len} offset {offset} span {span} flags {flags}");
+                    assert_eq!(chunk.frame(3, 2, flags, span), want, "{what}");
+                    assert_eq!(
+                        encode_frame_parts(3, 2, flags, span, &[head, tail]),
+                        want,
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 

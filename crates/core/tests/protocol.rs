@@ -585,6 +585,45 @@ fn duplicate_cts_is_ignored() {
 }
 
 #[test]
+fn overlapping_rendezvous_chunk_is_refused() {
+    use nm_core::wire::{encode_frame, encode_packet, Entry};
+    // A hand-driven sender: CRC-valid DATA chunks that overlap must not
+    // count toward completion, or the receive completes with a hole.
+    let (da, db) = LoopbackDriver::pair(64);
+    let b = CoreBuilder::new(CoreConfig::default())
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    let post = |entry: Entry| {
+        da.post(encode_frame(0, 0, 0, 0, &encode_packet(&[entry])))
+            .unwrap();
+        while b.progress() > 0 {}
+    };
+    let data = |offset: u32, fill: u8| Entry::Data {
+        tag: 5,
+        seq: 0,
+        offset,
+        data: Bytes::from(vec![fill; 16]),
+    };
+    let r = b.irecv(G, 5).unwrap();
+    post(Entry::Rts {
+        tag: 5,
+        seq: 0,
+        total: 32,
+    });
+    post(data(0, 0xAA));
+    post(data(8, 0xBB));
+    assert!(!r.is_complete(), "bytes 24..32 were never written");
+    assert_eq!(b.stats().wire_errors.get(), 1);
+
+    post(data(16, 0xCC));
+    b.wait(&r, WaitStrategy::Busy).unwrap();
+    let mut want = vec![0xAA; 16];
+    want.extend_from_slice(&[0xCC; 16]);
+    assert_eq!(r.take_data().unwrap(), Bytes::from(want));
+    assert_eq!(b.stats().wire_errors.get(), 1);
+}
+
+#[test]
 fn pending_counts_track_lifecycle() {
     let (a, b) = loopback_pair(CoreConfig::default().eager_threshold(64));
     assert_eq!(a.pending(), nm_core::PendingCounts::default());

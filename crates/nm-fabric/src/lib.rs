@@ -42,6 +42,6 @@ pub use driver::{Driver, DriverCaps, LoopbackDriver, PostError, SimNicDriver};
 pub use fabric::{Fabric, NodePorts};
 pub use model::WireModel;
 pub use mpmc::MpmcRing;
-pub use nic::{NicCounters, SimNic};
+pub use nic::{NicCounters, SimNic, TxQueueFull};
 #[allow(deprecated)]
 pub use reorder::ReorderDriver;

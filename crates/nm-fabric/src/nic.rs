@@ -1,7 +1,7 @@
 //! Simulated NIC endpoints.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
@@ -20,7 +20,11 @@ struct WirePacket {
 /// One direction of a link: a bounded ring plus the time at which the wire
 /// becomes free again (packets serialize on the wire).
 struct Wire {
-    ring: MpmcRing<WirePacket>,
+    /// Built by the first post: a context that never sends (an idle VCI,
+    /// a stack torn down unused) never allocates or initialises its
+    /// `tx_depth` slots.
+    ring: OnceLock<MpmcRing<WirePacket>>,
+    depth: usize,
     next_free_ns: AtomicU64,
     /// Payload bytes injected but not yet delivered (wire occupancy).
     occupancy_bytes: AtomicU64,
@@ -29,10 +33,25 @@ struct Wire {
 impl Wire {
     fn new(depth: usize) -> Self {
         Wire {
-            ring: MpmcRing::new(depth.max(1)),
+            ring: OnceLock::new(),
+            depth: depth.max(1),
             next_free_ns: AtomicU64::new(0),
             occupancy_bytes: AtomicU64::new(0),
         }
+    }
+
+    /// Packets on the wire.
+    fn len(&self) -> usize {
+        self.ring.get().map_or(0, MpmcRing::len)
+    }
+
+    /// The ring, built on first use.
+    fn tx_ring(&self) -> &MpmcRing<WirePacket> {
+        self.ring.get_or_init(|| MpmcRing::new(self.depth))
+    }
+
+    fn pop(&self) -> Option<WirePacket> {
+        self.ring.get()?.pop()
     }
 
     /// Reserves wire time for a packet of `tx_ns` serialization cost
@@ -193,7 +212,7 @@ impl SimNic {
     /// injection ring, so one context's saturation says nothing about
     /// another's.
     pub fn can_post_vci(&self, vci: usize) -> bool {
-        self.vcis[vci].tx.ring.len() < self.model.tx_depth
+        self.vcis[vci].tx.len() < self.model.tx_depth
     }
 
     /// Injects a packet on VCI context 0.
@@ -216,7 +235,10 @@ impl SimNic {
             self.model.mtu
         );
         let ctx = &self.vcis[vci];
-        if ctx.tx.ring.len() >= self.model.tx_depth {
+        // Built before the clock is read, so a first post's ring setup
+        // does not eat into the packet's modelled flight time.
+        let ring = ctx.tx.tx_ring();
+        if ring.len() >= self.model.tx_depth {
             return Err(TxQueueFull);
         }
         let now = self.clock.now_ns();
@@ -228,11 +250,11 @@ impl SimNic {
             deliver_at_ns,
             payload,
         };
-        let was_idle = ctx.tx.ring.is_empty();
+        let was_idle = ring.is_empty();
         // A racing producer may have filled the ring between the depth
         // check and this push; the reserved wire time then stays booked,
         // which only makes the model slightly conservative.
-        ctx.tx.ring.push(pkt).map_err(|_| TxQueueFull)?;
+        ring.push(pkt).map_err(|_| TxQueueFull)?;
         self.counters.tx_packets.incr();
         self.counters.tx_bytes.add(len as u64);
         // relaxed: occupancy is a diagnostic aggregate; the ring push
@@ -273,7 +295,7 @@ impl SimNic {
         let mut stash = ctx.stash.lock();
         let pkt = match stash.take() {
             Some(p) => p,
-            None => ctx.rx.ring.pop()?,
+            None => ctx.rx.pop()?,
         };
         if pkt.deliver_at_ns <= now {
             self.counters.rx_packets.incr();
@@ -293,7 +315,7 @@ impl SimNic {
                 crate::metrics::vci_inflight_bytes().sub(pkt.payload.len() as i64);
             }
             nm_trace::trace_event!(PacketRx, pkt.payload.len());
-            if ctx.rx.ring.is_empty() {
+            if ctx.rx.len() == 0 {
                 // Last in-flight packet delivered: the sending side's
                 // injection queue (this wire) is drained — NIC idle.
                 nm_trace::trace_event!(NicIdle, 1u64);
@@ -320,7 +342,7 @@ impl SimNic {
         let ctx = &self.vcis[vci];
         let mut stash = ctx.stash.lock();
         if stash.is_none() {
-            *stash = ctx.rx.ring.pop();
+            *stash = ctx.rx.pop();
         }
         stash.as_ref().map(|p| p.deliver_at_ns)
     }
@@ -334,7 +356,7 @@ impl SimNic {
     /// [`SimNic::has_inbound`] for one VCI context.
     pub fn has_inbound_vci(&self, vci: usize) -> bool {
         let ctx = &self.vcis[vci];
-        ctx.stash.lock().is_some() || !ctx.rx.ring.is_empty()
+        ctx.stash.lock().is_some() || ctx.rx.len() != 0
     }
 
     /// Payload bytes this endpoint has injected that the peer has not
@@ -388,6 +410,18 @@ mod tests {
         let (a, b, _clock) = manual_pair(WireModel::ideal());
         a.post_send(Bytes::from_static(b"now")).unwrap();
         assert_eq!(b.poll_recv(), Some(Bytes::from_static(b"now")));
+    }
+
+    #[test]
+    fn wire_ring_is_built_by_the_first_post() {
+        let (a, b, _clock) = manual_pair(WireModel::ideal());
+        assert_eq!(b.poll_recv(), None);
+        assert!(b.can_post() && !b.has_inbound());
+        assert!(a.vcis[0].tx.ring.get().is_none() && b.vcis[0].tx.ring.get().is_none());
+        a.post_send(Bytes::from_static(b"x")).unwrap();
+        assert_eq!(a.vcis[0].tx.ring.get().map(MpmcRing::capacity), Some(1024));
+        assert!(b.vcis[0].tx.ring.get().is_none(), "b never posted");
+        assert_eq!(b.poll_recv(), Some(Bytes::from_static(b"x")));
     }
 
     #[test]

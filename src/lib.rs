@@ -18,7 +18,7 @@
 //! * [`core`] — the 3-layer communication library itself.
 //! * [`mpi`] — a Mad-MPI-style façade (communicators, tags, thread levels).
 //! * [`sim`] — discrete-event deterministic twin.
-//! * [`bench`] — benchmark harness used to regenerate the paper's figures.
+//! * [`bench`](mod@bench) — benchmark harness used to regenerate the paper's figures.
 //! * [`trace`] — low-overhead event tracing and the counters registry
 //!   (records only with the `trace` cargo feature; see `docs/TRACING.md`).
 //! * [`metrics`] — always-on latency histograms, gauges and rate counters
